@@ -3,15 +3,23 @@
 // per benchmark with ns/op, B/op, and allocs/op, sorted by (package,
 // name) so diffs against the previous trajectory point are stable.
 //
+// With -check FILE it instead gates the run against a checked-in file:
+// it exits 1 when any benchmark's allocs/op exceeds FILE's by more than
+// max(2, 1%), or when a benchmark in FILE is missing from the run.
+// Allocation counts, unlike ns/op, carry across machines.
+//
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchjson > BENCH_core.json
+//	go test -run '^$' -bench . -benchmem ./... | benchjson -check BENCH_core.json
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -38,6 +46,8 @@ type Output struct {
 }
 
 func main() {
+	check := flag.String("check", "", "gate allocs/op on stdin against this BENCH_core.json instead of printing JSON")
+	flag.Parse()
 	out, err := parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -46,6 +56,27 @@ func main() {
 	if len(out.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
+	}
+	if *check != "" {
+		raw, err := os.ReadFile(*check)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		var base Output
+		if err := json.Unmarshal(raw, &base); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *check, err)
+			os.Exit(1)
+		}
+		problems := checkAllocs(base, out)
+		for _, p := range problems {
+			fmt.Fprintln(os.Stderr, "benchjson:", p)
+		}
+		if len(problems) > 0 {
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: allocs/op of %d benchmarks within max(2, 1%%) of %s\n", len(base.Benchmarks), *check)
+		return
 	}
 	b, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -134,4 +165,31 @@ func parseBench(line, pkg string) (Result, bool, error) {
 		}
 	}
 	return r, true, nil
+}
+
+// checkAllocs returns one line per gated benchmark of base whose allocs/op
+// in got exceeds base's by more than max(2, 1%), or that got lacks.
+// Benchmarks only in got are new and not gated.
+func checkAllocs(base, got Output) []string {
+	type key struct{ pkg, name string }
+	have := make(map[key]Result, len(got.Benchmarks))
+	for _, r := range got.Benchmarks {
+		have[key{r.Pkg, r.Name}] = r
+	}
+	var problems []string
+	for _, b := range base.Benchmarks {
+		if b.AllocsPerOp < 0 {
+			continue
+		}
+		r, ok := have[key{b.Pkg, b.Name}]
+		switch {
+		case !ok:
+			problems = append(problems, fmt.Sprintf("%s %s: missing from the run", b.Pkg, b.Name))
+		case r.AllocsPerOp < 0:
+			problems = append(problems, fmt.Sprintf("%s %s: run has no allocs/op (use -benchmem)", b.Pkg, b.Name))
+		case float64(r.AllocsPerOp-b.AllocsPerOp) > math.Max(2, 0.01*float64(b.AllocsPerOp)):
+			problems = append(problems, fmt.Sprintf("%s %s: %d allocs/op, checked in %d", b.Pkg, b.Name, r.AllocsPerOp, b.AllocsPerOp))
+		}
+	}
+	return problems
 }

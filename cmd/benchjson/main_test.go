@@ -51,3 +51,31 @@ func TestParseRejectsGarbageCounts(t *testing.T) {
 		t.Fatal("bad run count must error")
 	}
 }
+
+func TestCheckAllocs(t *testing.T) {
+	res := func(name string, allocs int64) Result {
+		return Result{Pkg: "p", Name: name, AllocsPerOp: allocs}
+	}
+	base := Output{Benchmarks: []Result{
+		res("Small", 10), res("Large", 1000), res("Gone", 5), res("NoMem", -1), res("Fewer", 50),
+	}}
+	got := Output{Benchmarks: []Result{
+		res("Small", 12),   // +2: within the absolute slack
+		res("Large", 1011), // +11 > 1% of 1000
+		res("NoMem", 7),
+		res("Fewer", 3),
+		res("New", 99), // not in base: not gated
+	}}
+	problems := checkAllocs(base, got)
+	want := []string{
+		"p Large: 1011 allocs/op, checked in 1000",
+		"p Gone: missing from the run",
+	}
+	if strings.Join(problems, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(problems, "\n"), strings.Join(want, "\n"))
+	}
+	got.Benchmarks[0].AllocsPerOp = 13 // +3 > max(2, 0.1)
+	if p := checkAllocs(base, got); len(p) != 3 || p[0] != "p Small: 13 allocs/op, checked in 10" {
+		t.Fatalf("small regression not caught: %q", p)
+	}
+}

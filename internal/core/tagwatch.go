@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -136,8 +137,7 @@ type Tagwatch struct {
 
 	// table caches the schedule index; rebuilt when the population
 	// changes.
-	table    *schedule.IndexTable
-	tableKey string
+	table *schedule.IndexTable
 }
 
 // New builds a Tagwatch instance over a device.
@@ -247,8 +247,14 @@ func (tw *Tagwatch) RunCycle() CycleReport {
 			tw.lastRestless[r.EPC] = r.Time
 		}
 	}
+	// Present, and with it Mobile and Targets, in EPC byte order — the
+	// order the schedule index uses — so a cycle's plan does not depend on
+	// map iteration order (greedy ties go to the first candidate).
 	for code := range present {
 		rep.Present = append(rep.Present, code)
+	}
+	slices.SortFunc(rep.Present, epc.Compare)
+	for _, code := range rep.Present {
 		if moving[code] {
 			rep.Mobile = append(rep.Mobile, code)
 		}
@@ -388,36 +394,17 @@ func (tw *Tagwatch) finishCycle(rep *CycleReport) {
 }
 
 // ensureTable rebuilds the schedule index when the present population
-// changed — the incremental-update step of §5.3's preprocessing.
+// changed — the incremental-update step of §5.3's preprocessing. The
+// population arrives sorted in the table's own order, so an unchanged one
+// compares equal element by element.
 func (tw *Tagwatch) ensureTable(population []epc.EPC) {
-	key := populationKey(population)
-	if tw.table != nil && key == tw.tableKey {
+	if tw.table != nil && slices.Equal(tw.table.Population(), population) {
 		return
 	}
 	t, err := schedule.NewIndexTable(tw.cfg.Schedule, population)
 	if err != nil {
 		tw.table = nil
-		tw.tableKey = ""
 		return
 	}
 	tw.table = t
-	tw.tableKey = key
-}
-
-// populationKey builds an order-insensitive fingerprint of the population.
-func populationKey(pop []epc.EPC) string {
-	// XOR of per-EPC FNV hashes: order-insensitive, collision-unlikely for
-	// the population sizes at hand.
-	var acc [8]byte
-	for _, code := range pop {
-		var h uint64 = 1469598103934665603
-		for _, b := range []byte(code.String()) {
-			h ^= uint64(b)
-			h *= 1099511628211
-		}
-		for i := 0; i < 8; i++ {
-			acc[i] ^= byte(h >> (8 * i))
-		}
-	}
-	return fmt.Sprintf("%d:%x", len(pop), acc)
 }

@@ -12,6 +12,7 @@
 package epc
 
 import (
+	"cmp"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -88,6 +89,15 @@ func (e EPC) IsZero() bool { return e.bits == 0 }
 
 // String renders the EPC as lowercase hex.
 func (e EPC) String() string { return hex.EncodeToString([]byte(e.data)) }
+
+// Compare orders EPCs by their bytes, then by bit length, returning -1, 0
+// or +1. For EPCs of one length this is the order of their hex strings.
+func Compare(a, b EPC) int {
+	if c := strings.Compare(a.data, b.data); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.bits, b.bits)
+}
 
 // Bit returns bit i (0 = MSB of the first byte). It panics if i is out of
 // range, mirroring slice indexing.

@@ -257,3 +257,24 @@ func TestStringIsLowerHex(t *testing.T) {
 		t.Fatalf("String() = %q", e.String())
 	}
 }
+
+func TestCompareFollowsHexOrder(t *testing.T) {
+	pop, err := RandomPopulation(rand.New(rand.NewSource(5)), 300, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range pop {
+		b := pop[(i+1)%len(pop)]
+		want := strings.Compare(a.String(), b.String())
+		if got := Compare(a, b); got != want {
+			t.Fatalf("Compare(%s, %s) = %d, hex order says %d", a, b, got, want)
+		}
+		if Compare(a, a) != 0 {
+			t.Fatalf("Compare(%s, itself) != 0", a)
+		}
+	}
+	short, long := FromUint64(0, 7), FromUint64(0, 8)
+	if Compare(short, long) != -1 || Compare(long, short) != 1 {
+		t.Fatal("equal bytes must order by bit length")
+	}
+}

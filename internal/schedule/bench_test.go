@@ -43,6 +43,17 @@ func BenchmarkSelect400Tags20Targets(b *testing.B) {
 	}
 }
 
+func BenchmarkSelect2000Tags100Targets(b *testing.B) {
+	it, pop := benchTable(b, 2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := it.Select(pop[:100]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkNewIndexTable400(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pop, _ := epc.RandomPopulation(rng, 400, 96)
