@@ -96,17 +96,23 @@ bench-check:
 	go run ./cmd/benchjson < bin/bench.txt > bin/BENCH_core.json
 	go run ./cmd/benchjson -check BENCH_core.json < bin/bench.txt
 
+# Fingerprints replay-smoke and gauntlet-smoke must reproduce across
+# commits, one "target fingerprint" line each.
+FINGERPRINTS := scripts/fingerprints.txt
+
 # The replay determinism gate: the retail-rush pack streamed through a
 # real fleet at 100x virtual time, twice, under the race detector; the
 # runs must agree on the report fingerprint (wall-clock timing is the
-# only permitted difference).
+# only permitted difference), and it must equal the pinned one.
 replay-smoke:
 	go run -race ./cmd/replayd -scenario retail-rush -speed 100 -report /tmp/tagwatch-replay-a.json
 	go run -race ./cmd/replayd -scenario retail-rush -speed 100 -report /tmp/tagwatch-replay-b.json
 	@fa=$$(grep -o '"fingerprint": "[0-9a-f]*"' /tmp/tagwatch-replay-a.json); \
 	fb=$$(grep -o '"fingerprint": "[0-9a-f]*"' /tmp/tagwatch-replay-b.json); \
 	test -n "$$fa" && test "$$fa" = "$$fb" || { echo "replay-smoke: fingerprint mismatch: $$fa vs $$fb"; exit 1; }; \
-	echo "replay-smoke: deterministic ($$fa)"
+	want=$$(awk '$$1 == "replay-smoke" { print $$2 }' $(FINGERPRINTS)); \
+	test "$$fa" = "\"fingerprint\": \"$$want\"" || { echo "replay-smoke: $$fa differs from the pinned $$want ($(FINGERPRINTS))"; exit 1; }; \
+	echo "replay-smoke: deterministic and pinned ($$fa)"
 
 # The failover acceptance gate: a retail-rush replay through a primary
 # whose replication link is chaos-degraded (latency, truncation,
@@ -132,14 +138,17 @@ gauntlet:
 # The gauntlet determinism gate, mirroring replay-smoke: the same
 # campaign and seed twice under the race detector must agree on the
 # verdict fingerprint (wall timings and fault counters are the only
-# permitted differences), and both runs must pass every oracle.
+# permitted differences), both runs must pass every oracle, and the
+# fingerprint must equal the pinned one.
 gauntlet-smoke:
 	go run -race ./cmd/gauntlet -campaign smoke -seed 1 -quiet -report /tmp/tagwatch-gauntlet-a.json
 	go run -race ./cmd/gauntlet -campaign smoke -seed 1 -quiet -report /tmp/tagwatch-gauntlet-b.json
 	@fa=$$(grep -o '"fingerprint": "[0-9a-f]*"' /tmp/tagwatch-gauntlet-a.json); \
 	fb=$$(grep -o '"fingerprint": "[0-9a-f]*"' /tmp/tagwatch-gauntlet-b.json); \
 	test -n "$$fa" && test "$$fa" = "$$fb" || { echo "gauntlet-smoke: fingerprint mismatch: $$fa vs $$fb"; exit 1; }; \
-	echo "gauntlet-smoke: deterministic ($$fa)"
+	want=$$(awk '$$1 == "gauntlet-smoke" { print $$2 }' $(FINGERPRINTS)); \
+	test "$$fa" = "\"fingerprint\": \"$$want\"" || { echo "gauntlet-smoke: $$fa differs from the pinned $$want ($(FINGERPRINTS))"; exit 1; }; \
+	echo "gauntlet-smoke: deterministic and pinned ($$fa)"
 
 # The fan-out survival gate: real processes — readersim feeding a
 # fleetd primary, an edged mirror following it over resumable SSE. The

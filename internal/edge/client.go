@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"tagwatch/internal/fleet"
+	"tagwatch/internal/guard"
 )
 
 // ClientStatus snapshots the upstream link's convergence accounting.
@@ -169,6 +170,11 @@ func (c *Client) Run(ctx context.Context) error {
 		}
 		err := c.session(ctx)
 		c.mu.Lock()
+		// A session that got as far as streaming was healthy: the next
+		// failure starts the backoff schedule from the base again.
+		if c.connected {
+			failures = 0
+		}
 		c.connected = false
 		c.mu.Unlock()
 		if ctx.Err() != nil {
@@ -177,12 +183,13 @@ func (c *Client) Run(ctx context.Context) error {
 		if errors.Is(err, errResync) {
 			// Deliberate severance (gap announced): reconnect immediately —
 			// the ring is draining while we wait.
-			failures = 0
 			c.logf("edge: resync against %s: reconnecting", c.cfg.Upstream)
 			continue
 		}
 		failures++
-		delay := c.backoff(failures)
+		c.mu.Lock()
+		delay := guard.Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, failures, c.rng)
+		c.mu.Unlock()
 		c.logf("edge: upstream %s: %v (retry %d in %s)", c.cfg.Upstream, err, failures, delay)
 		select {
 		case <-time.After(delay):
@@ -196,20 +203,6 @@ func (c *Client) Run(ctx context.Context) error {
 // announced a gap, and the recovery path is a fresh subscription from
 // the last contiguous cursor.
 var errResync = errors.New("edge: resync requested")
-
-func (c *Client) backoff(failures int) time.Duration {
-	d := c.cfg.BackoffBase
-	for i := 1; i < failures && d < c.cfg.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > c.cfg.BackoffMax {
-		d = c.cfg.BackoffMax
-	}
-	c.mu.Lock()
-	jitter := 0.8 + 0.4*c.rng.Float64()
-	c.mu.Unlock()
-	return time.Duration(float64(d) * jitter)
-}
 
 func (c *Client) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
@@ -238,11 +231,10 @@ func (c *Client) session(ctx context.Context) error {
 		return fmt.Errorf("dial: %w", err)
 	}
 	defer conn.Close()
-	// A context cancellation must unblock any in-flight conn I/O: force
-	// the pending operation to fail now instead of at its deadline.
-	stop := context.AfterFunc(ctx, func() {
-		conn.SetDeadline(time.Now())
-	})
+	// A context cancellation must unblock any in-flight conn I/O. Closing
+	// the conn does; a deadline would not, because every read re-arms its
+	// own.
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
 	c.mu.Lock()

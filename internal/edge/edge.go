@@ -43,9 +43,11 @@ type Config struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds the upstream request write (default 5s).
 	WriteTimeout time.Duration
-	// BackoffBase and BackoffMax bound the reconnect delay: exponential
-	// from the base, capped at the max, with ±20% jitter (defaults
-	// 100ms, 5s — the edge reconnects fast; upstream sheds it if needed).
+	// BackoffBase and BackoffMax bound the reconnect delay (guard.Backoff):
+	// exponential from the base, capped at the max, with ±20% jitter; a
+	// session that got as far as streaming starts the count again
+	// (defaults 100ms, 5s — the edge reconnects fast; upstream sheds it
+	// if needed).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// Seed seeds the backoff jitter RNG (0 derives one from the

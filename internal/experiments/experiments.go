@@ -27,9 +27,6 @@ type Options struct {
 	Quick bool
 }
 
-// DefaultOptions is the quick, seeded configuration.
-func DefaultOptions() Options { return Options{Seed: 1, Quick: true} }
-
 // pick chooses between the quick and full value of a scale parameter.
 func (o Options) pick(quick, full int) int {
 	if o.Quick {
@@ -141,8 +138,3 @@ func hz(count int, span time.Duration) float64 {
 // cos/sin shorthands for scene geometry.
 func cos(x float64) float64 { return math.Cos(x) }
 func sin(x float64) float64 { return math.Sin(x) }
-
-// TurntableSceneForDebug exposes the turntable rig for ad-hoc diagnostics.
-func TurntableSceneForDebug(rng *rand.Rand, nTotal, nMob int) (*scene.Scene, []epc.EPC, []epc.EPC, error) {
-	return turntableScene(rng, nTotal, nMob)
-}

@@ -199,8 +199,3 @@ func (r Fig01Result) String() string {
  rate-adaptive restores 3.34 cm with 4 companions)
 %s`, t)
 }
-
-// Fig01SceneDebug exposes the tracking rig for diagnostics.
-func Fig01SceneDebug(seed int64, k int) (*scene.Scene, epc.EPC, scene.Trajectory) {
-	return fig01Scene(seed, k)
-}

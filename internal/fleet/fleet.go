@@ -45,9 +45,10 @@ type Config struct {
 	Tagwatch core.Config
 	// DialTimeout bounds each connect attempt.
 	DialTimeout time.Duration
-	// BackoffBase and BackoffMax bound the reconnect delay: the delay
-	// doubles from the base on every consecutive failure, saturating at the
-	// max, with ±20% jitter.
+	// BackoffBase and BackoffMax bound the reconnect delay (guard.Backoff):
+	// the delay doubles from the base on every consecutive failure,
+	// saturating at the max, with ±20% jitter; a successful dial starts
+	// the count again.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// MaxFailures is the retry budget: a supervisor that fails this many
@@ -356,7 +357,7 @@ func New(cfg Config) *Manager {
 		// two supervisors never share a backoff schedule.
 		h := fnv.New64a()
 		fmt.Fprintf(h, "%s|%s|%d", name, rc.Addr, i)
-		s := newSupervisor(name, rc.Addr, cfg, m.reg, m.bus, int64(h.Sum64()))
+		s := newSupervisor(name, rc.Addr, cfg, m.newIngest(name), int64(h.Sum64()))
 		s.breaker = guard.NewBreaker(guard.BreakerConfig{
 			Budget: cfg.RestartBudget,
 			Window: cfg.RestartWindow,

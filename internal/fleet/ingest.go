@@ -12,13 +12,15 @@ import (
 // fleet exactly as a supervised LLRP session would — through the merged
 // registry (so the guard layer, quarantine, and handoff detection all
 // apply) and out over the event bus — without any connection underneath.
-// It exists for replay (cmd/replayd drives a generated scenario timeline
-// through one Ingest per gate) and for tests that need fleet-level
-// behaviour without a live reader.
+// It is the fleet's one merge path: every supervised LLRP reader feeds
+// the fleet through its own unregistered Ingest, and replay (cmd/replayd
+// drives a generated scenario timeline through one Ingest per gate) and
+// tests that need fleet-level behaviour without a live reader register
+// theirs with NewIngest.
 //
-// An Ingest appears in Manager.Readers with state "up"; it never
-// contributes to unhealthiness (a fleet of only ingests is trivially
-// healthy, like a fleet with no readers).
+// A registered Ingest appears in Manager.Readers with state "up"; it
+// never contributes to unhealthiness (a fleet of only ingests is
+// trivially healthy, like a fleet with no readers).
 type Ingest struct {
 	name string
 	m    *Manager
@@ -33,11 +35,17 @@ type Ingest struct {
 // ingest named "exit" after one named "entry" records a handoff
 // entry→exit, exactly as two live readers would.
 func (m *Manager) NewIngest(name string) *Ingest {
-	in := &Ingest{name: name, m: m, created: time.Now()}
+	in := m.newIngest(name)
 	m.mu.Lock()
 	m.ingests = append(m.ingests, in)
 	m.mu.Unlock()
 	return in
+}
+
+// newIngest builds an Ingest without registering it — a supervisor's,
+// which Manager.Readers reports through the supervisor's own status.
+func (m *Manager) newIngest(name string) *Ingest {
+	return &Ingest{name: name, m: m, created: time.Now()}
 }
 
 // Observe merges one reading at the given timestamp, publishing a
@@ -68,6 +76,16 @@ func (in *Ingest) UpdateAssessment(code epc.EPC, mobile bool, irr float64) {
 func (in *Ingest) PublishCycle(at time.Time, sum *CycleSummary) {
 	in.cycles.Add(1)
 	in.m.bus.Publish(Event{Type: EventCycle, Reader: in.name, At: at, Cycle: sum})
+}
+
+// publishState emits a reader connection-state change under this
+// ingest's name.
+func (in *Ingest) publishState(at time.Time, state ReaderState, attempt int, err error) {
+	ev := Event{Type: EventReaderState, Reader: in.name, At: at, State: state.String(), Attempt: attempt}
+	if err != nil {
+		ev.Error = err.Error()
+	}
+	in.m.bus.Publish(ev)
 }
 
 // Readings reports how many readings this ingest has merged.

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tagwatch/internal/core"
+	"tagwatch/internal/epc"
 	"tagwatch/internal/guard"
 	"tagwatch/internal/llrp"
 )
@@ -71,13 +71,15 @@ type ReaderStatus struct {
 
 // supervisor owns one reader connection for its whole lifetime: dial,
 // run Tagwatch cycles, and on any failure reconnect with exponential
-// backoff plus jitter under a capped retry budget.
+// backoff plus jitter under a capped retry budget. It is only the LLRP
+// driver: every reading, verdict and cycle summary reaches the fleet
+// through its own (unregistered) Ingest, the same merge path replay and
+// the harnesses drive.
 type supervisor struct {
 	name string
 	addr string
 	cfg  Config
-	reg  *Registry
-	bus  *Bus
+	in   *Ingest
 	rng  *rand.Rand
 
 	// breaker meters panic restarts (set by the Manager; nil in direct
@@ -95,20 +97,16 @@ type supervisor struct {
 	sessions    int // successful connects; reconnects = sessions - 1
 	lastErr     error
 	connectedAt time.Time
-	cycles      int
 	cycleErrors int
 	tripped     bool
-
-	readings atomic.Uint64
 }
 
-func newSupervisor(name, addr string, cfg Config, reg *Registry, bus *Bus, seed int64) *supervisor {
+func newSupervisor(name, addr string, cfg Config, in *Ingest, seed int64) *supervisor {
 	return &supervisor{
 		name: name,
 		addr: addr,
 		cfg:  cfg,
-		reg:  reg,
-		bus:  bus,
+		in:   in,
 		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
@@ -123,9 +121,9 @@ func (s *supervisor) status() ReaderStatus {
 		State:               s.state.String(),
 		Attempts:            s.attempts,
 		ConsecutiveFailures: s.consecFails,
-		Cycles:              s.cycles,
+		Cycles:              int(s.in.cycles.Load()),
 		CycleErrors:         s.cycleErrors,
-		Readings:            s.readings.Load(),
+		Readings:            s.in.Readings(),
 	}
 	if s.sessions > 1 {
 		st.Reconnects = s.sessions - 1
@@ -160,29 +158,7 @@ func (s *supervisor) setState(state ReaderState, err error) {
 	}
 	attempt := s.attempts
 	s.mu.Unlock()
-	ev := Event{Type: EventReaderState, Reader: s.name, At: time.Now(), State: state.String(), Attempt: attempt}
-	if err != nil {
-		ev.Error = err.Error()
-	}
-	s.bus.Publish(ev)
-}
-
-// backoffDelay computes the next reconnect delay: exponential from the
-// base, capped at the max, with ±20% jitter so a fleet of supervisors
-// losing one switch does not redial in lockstep.
-func (s *supervisor) backoffDelay() time.Duration {
-	s.mu.Lock()
-	n := s.consecFails
-	s.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	d := s.cfg.BackoffBase << uint(n-1)
-	if d > s.cfg.BackoffMax || d <= 0 {
-		d = s.cfg.BackoffMax
-	}
-	jitter := 0.8 + 0.4*s.rng.Float64()
-	return time.Duration(float64(d) * jitter)
+	s.in.publishState(time.Now(), state, attempt, err)
 }
 
 // run is the supervisor main loop; it returns when ctx is cancelled or the
@@ -237,7 +213,7 @@ func (s *supervisor) run(ctx context.Context) {
 		}
 		s.setState(StateBackoff, err)
 		select {
-		case <-time.After(s.backoffDelay()):
+		case <-time.After(guard.Backoff(s.cfg.BackoffBase, s.cfg.BackoffMax, fails, s.rng)):
 		case <-ctx.Done():
 			s.setState(StateDown, nil)
 			return
@@ -248,9 +224,9 @@ func (s *supervisor) run(ctx context.Context) {
 // serve runs Tagwatch cycles over an established connection until the
 // session dies or the fleet stops, returning the reason the session was
 // abandoned (nil on clean shutdown). Every reading is merged into the
-// fleet registry as it is delivered; after each cycle the per-tag
-// assessments (mobility verdict, IRR) are refreshed and a cycle summary
-// is published.
+// fleet as it is delivered; after each cycle the per-tag assessments
+// (mobility verdict, IRR) are refreshed and a cycle summary is published
+// — all through the supervisor's Ingest.
 //
 // Cycle errors are consumed here rather than ignored: a cycle whose
 // transport failed publishes its error on the bus, and a run of
@@ -275,15 +251,7 @@ func (s *supervisor) serve(ctx context.Context, conn *llrp.Conn) error {
 	}
 
 	tw := core.New(s.cfg.Tagwatch, core.NewLLRPDevice(conn))
-	tw.Subscribe(func(r core.Reading) {
-		s.readings.Add(1)
-		if ho, moved := s.reg.Observe(s.name, r, time.Now()); moved {
-			s.bus.Publish(Event{
-				Type: EventHandoff, Reader: s.name, At: ho.At,
-				EPC: ho.EPC, From: ho.From, To: ho.To,
-			})
-		}
-	})
+	tw.Subscribe(func(r core.Reading) { s.in.Observe(r, time.Now()) })
 
 	consecCycleErrs := 0
 	for {
@@ -296,35 +264,13 @@ func (s *supervisor) serve(ctx context.Context, conn *llrp.Conn) error {
 		}
 
 		rep := tw.RunCycle()
-		s.mu.Lock()
-		s.cycles++
 		if rep.Err != nil {
+			s.mu.Lock()
 			s.cycleErrors++
 			s.lastErr = rep.Err
+			s.mu.Unlock()
 		}
-		s.mu.Unlock()
-
-		mobile := make(map[string]bool, len(rep.Mobile))
-		for _, code := range rep.Mobile {
-			mobile[code.String()] = true
-		}
-		for _, code := range rep.Present {
-			s.reg.UpdateAssessment(s.name, code, mobile[code.String()], tw.History().IRR(code))
-		}
-		summary := &CycleSummary{
-			Present:       len(rep.Present),
-			Mobile:        len(rep.Mobile),
-			Targets:       len(rep.Targets),
-			Masks:         len(rep.Plan.Masks),
-			FellBack:      rep.FellBack,
-			PhaseIReads:   len(rep.PhaseIReads),
-			PhaseIIReads:  len(rep.PhaseIIReads),
-			ScheduleCostU: rep.ScheduleCost.Microseconds(),
-		}
-		if rep.Err != nil {
-			summary.Err = rep.Err.Error()
-		}
-		s.bus.Publish(Event{Type: EventCycle, Reader: s.name, At: time.Now(), Cycle: summary})
+		ingestCycle(s.in, rep, tw.History().IRR, time.Now())
 
 		if rep.Err != nil {
 			consecCycleErrs++
@@ -349,4 +295,38 @@ func (s *supervisor) serve(ctx context.Context, conn *llrp.Conn) error {
 			}
 		}
 	}
+}
+
+// ingestCycle hands one finished cycle to the fleet: the verdict and IRR
+// of every present tag, then the cycle summary stamped at. Present and
+// Mobile must be in epc.Compare order, as core.RunCycle returns them, so
+// one merge walk decides each tag's verdict; a mobile tag that is not
+// present has no verdict to record and is skipped.
+func ingestCycle(in *Ingest, rep core.CycleReport, irr func(epc.EPC) float64, at time.Time) {
+	mobile := rep.Mobile
+	for _, code := range rep.Present {
+		for len(mobile) > 0 && epc.Compare(mobile[0], code) < 0 {
+			mobile = mobile[1:]
+		}
+		in.UpdateAssessment(code, len(mobile) > 0 && mobile[0] == code, irr(code))
+	}
+	in.PublishCycle(at, cycleSummary(rep))
+}
+
+// cycleSummary is the bus shape of a cycle report.
+func cycleSummary(rep core.CycleReport) *CycleSummary {
+	sum := &CycleSummary{
+		Present:       len(rep.Present),
+		Mobile:        len(rep.Mobile),
+		Targets:       len(rep.Targets),
+		Masks:         len(rep.Plan.Masks),
+		FellBack:      rep.FellBack,
+		PhaseIReads:   len(rep.PhaseIReads),
+		PhaseIIReads:  len(rep.PhaseIIReads),
+		ScheduleCostU: rep.ScheduleCost.Microseconds(),
+	}
+	if rep.Err != nil {
+		sum.Err = rep.Err.Error()
+	}
+	return sum
 }

@@ -1,9 +1,30 @@
 package guard
 
 import (
+	"math/rand"
 	"sync"
 	"time"
 )
+
+// Backoff is the reconnect-delay schedule shared by every retry loop in
+// the repo (fleet supervisors, the edge client, the replication shipper
+// and Breaker): the delay before the n-th consecutive retry (n < 1
+// counts as 1) is base doubled n−1 times, saturating at limit — never
+// wrapping to zero or negative, however large n grows. With a non-nil
+// rng the delay is scaled by a jitter factor uniform in [0.8, 1.2),
+// drawn with exactly one rng.Float64 call, so clients that lost the same
+// link do not redial in lockstep and a seeded rng replays its schedule.
+func Backoff(base, limit time.Duration, n int, rng *rand.Rand) time.Duration {
+	n = max(n, 1)
+	d := limit
+	if shift := uint(n - 1); shift < 63 && base <= limit>>shift {
+		d = base << shift
+	}
+	if rng == nil {
+		return d
+	}
+	return time.Duration(float64(d) * (0.8 + 0.4*rng.Float64()))
+}
 
 // BreakerConfig tunes a restart budget.
 type BreakerConfig struct {
@@ -80,11 +101,7 @@ func (b *Breaker) Next(at time.Time) (delay time.Duration, ok bool) {
 	}
 	// Exponential in the number of in-window failures: sparse panics pay
 	// the base, a burst climbs toward the cap.
-	d := b.cfg.BackoffBase << uint(len(b.recent)-1)
-	if d > b.cfg.BackoffMax || d <= 0 {
-		d = b.cfg.BackoffMax
-	}
-	return d, true
+	return Backoff(b.cfg.BackoffBase, b.cfg.BackoffMax, len(b.recent), nil), true
 }
 
 // Tripped reports whether the budget has been exhausted.

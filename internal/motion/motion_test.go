@@ -424,48 +424,6 @@ func TestLearningCurveQuickStart(t *testing.T) {
 	}
 }
 
-func TestFusionCombinesModalities(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	f := NewFusion(Config{})
-	// Train both modalities on a parked tag.
-	for i := 0; i < 250; i++ {
-		f.Observe(tagA, 0, 0,
-			rf.WrapPhase(1.5+rng.NormFloat64()*0.08),
-			-60+rng.NormFloat64()*0.3,
-			time.Duration(i)*10*time.Millisecond)
-	}
-	// Quiet on both → stationary.
-	res := f.Observe(tagA, 0, 0, 1.5, -60, 0)
-	if res.Restless() {
-		t.Fatalf("parked reading restless: %+v", res)
-	}
-	// A phase jump alone must flag.
-	if s := f.Peek(tagA, 0, 0, rf.WrapPhase(1.5+1.2), -60); s <= 3 {
-		t.Fatalf("phase-only evidence score = %v", s)
-	}
-	// An RSS jump alone must flag too (phase unchanged).
-	if s := f.Peek(tagA, 0, 0, 1.5, -40); s <= 3 {
-		t.Fatalf("RSS-only evidence score = %v", s)
-	}
-	// Forget clears both.
-	f.Forget(tagA)
-	if f.Phase.Stack(tagA, 0, 0) != nil || f.RSS.Stack(tagA, 0, 0) != nil {
-		t.Fatal("Forget must clear both modalities")
-	}
-}
-
-func TestFusionPrune(t *testing.T) {
-	f := NewFusion(Config{})
-	f.Observe(tagA, 0, 0, 1.0, -60, 5*time.Second)
-	f.Observe(tagB, 0, 0, 2.0, -55, 20*time.Second)
-	if n := f.Prune(10 * time.Second); n != 1 {
-		t.Fatalf("pruned %d", n)
-	}
-	if f.Phase.TrackedTags() != 1 || f.RSS.TrackedTags() != 1 {
-		t.Fatal("prune must apply to both modalities")
-	}
-}
-
 func TestMaxTagsEvictsStalest(t *testing.T) {
 	d := NewPhaseMoG(Config{MaxTags: 4})
 	pop, err := epc.RandomPopulation(rand.New(rand.NewSource(11)), 12, 96)

@@ -212,6 +212,40 @@ func TestShipSnapshotAndRecords(t *testing.T) {
 	}
 }
 
+// TestSyncsAcrossEmptyGeneration: a snapshot taken after every record
+// was shipped leaves the primary at the start of an empty generation.
+// The standby must still follow it there, or its acks stop one
+// generation short of the committed cursor and WaitSynced (the planned
+// failover quiesce) blocks until the next record is written.
+func TestSyncsAcrossEmptyGeneration(t *testing.T) {
+	primaryDir, standbyDir := t.TempDir(), t.TempDir()
+	st, err := statestore.Open(primaryDir, statestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	model := make(map[string]int)
+	appendKVs(t, st, model, 0, 20)
+	snapshotModel(t, st, model)
+	appendKVs(t, st, model, 20, 20)
+
+	h := startHarness(t, st, standbyDir, nil)
+	defer h.stop()
+	waitSynced(t, h.shipper)
+	snapshotModel(t, st, model) // every record already shipped and acked
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := h.shipper.WaitSynced(ctx); err != nil {
+		t.Fatalf("never synced into the empty generation %+v: %v (status %+v)",
+			st.Committed(), err, h.shipper.Status())
+	}
+}
+
 // TestLagKnownInGenerationZero is the regression test for the lag
 // gauge's "unknown" sentinel: generation 0 is a legitimate generation
 // for a young primary that has never snapshotted, so once heartbeats
@@ -563,5 +597,68 @@ func TestStandbyCrashSweep(t *testing.T) {
 			h2.stop()
 			sameState(t, foldDir(t, dir), model)
 		})
+	}
+}
+
+// TestBackoffResetsAfterHandshake: a session that finished its
+// hello/cursor handshake resets the redial backoff, so links that keep
+// connecting and then dropping redial at the base delay instead of
+// climbing to BackoffMax. Every dial here reaches a fake standby that
+// completes the handshake (asking for a reset), takes the anchor frame
+// and hangs up. Ten dials at a 20 ms base take well under a second;
+// without the reset the tenth would wait for ≥ 20 ms·(2⁹−1)·0.8 ≈ 8 s.
+func TestBackoffResetsAfterHandshake(t *testing.T) {
+	st, err := statestore.Open(t.TempDir(), statestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var mu sync.Mutex
+	dials := 0
+	ship := NewShipper(st, Config{
+		Peers:        []string{"standby.test:1"},
+		FrameTimeout: 2 * time.Second,
+		Heartbeat:    10 * time.Millisecond,
+		BackoffBase:  20 * time.Millisecond,
+		BackoffMax:   time.Minute,
+		PrimaryID:    "test-primary",
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			mu.Lock()
+			dials++
+			mu.Unlock()
+			primary, standby := net.Pipe()
+			go func() {
+				defer standby.Close()
+				if _, _, err := readFrame(standby, 2*time.Second); err != nil {
+					return
+				}
+				if err := writeJSONFrame(standby, 2*time.Second, fCursor, cursorPayload{Reset: true}); err != nil {
+					return
+				}
+				readFrame(standby, 2*time.Second) // the anchor
+			}()
+			return primary, nil
+		},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); ship.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		mu.Lock()
+		n := dials
+		mu.Unlock()
+		if n >= 10 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d dials in 3s: backoff kept growing across established sessions (status %+v)", n, ship.Status())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if r := ship.Status()[0].Resyncs; r < 9 {
+		t.Fatalf("%d handshakes completed, want ≥ 9", r)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"tagwatch/internal/guard"
 	"tagwatch/internal/statestore"
 )
 
@@ -36,9 +37,10 @@ type Config struct {
 	// AckTimeout is how long a session survives without any ack before
 	// it is torn down and redialed (default 3×Heartbeat + FrameTimeout).
 	AckTimeout time.Duration
-	// BackoffBase and BackoffMax bound the redial delay: doubling from
-	// the base per consecutive failure, saturating at the max, with
-	// ±20% jitter (defaults 100ms, 5s — replication reconnects fast).
+	// BackoffBase and BackoffMax bound the redial delay (guard.Backoff):
+	// doubling from the base per consecutive failure, saturating at the
+	// max, with ±20% jitter; a session that finishes its handshake starts
+	// the count again (defaults 100ms, 5s — replication reconnects fast).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// MaxBatchBytes bounds the journal bytes per records frame
@@ -231,13 +233,19 @@ func (s *Shipper) runPeer(ctx context.Context, p *peer) {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s", s.cfg.PrimaryID, p.addr)
 	rng := mrand.New(mrand.NewSource(int64(h.Sum64())))
-	backoff := s.cfg.BackoffBase
+	failures := 0
 	for ctx.Err() == nil {
 		p.setState("dialing")
 		conn, err := s.dial(ctx, p.addr)
 		if err == nil {
 			p.connected(conn)
-			err = s.session(ctx, p, conn)
+			var reader *statestore.JournalReader
+			if reader, err = s.handshake(p, conn); err == nil {
+				// A finished handshake is a healthy session: the next
+				// failure backs off from the base again.
+				failures = 0
+				err = s.stream(ctx, p, conn, reader)
+			}
 			conn.Close()
 			p.disconnected(err)
 		} else {
@@ -246,18 +254,12 @@ func (s *Shipper) runPeer(ctx context.Context, p *peer) {
 		if ctx.Err() != nil {
 			return
 		}
-		if err == nil {
-			backoff = s.cfg.BackoffBase
-			continue
-		}
 		p.setState("backoff")
-		jitter := 1 + 0.2*(2*rng.Float64()-1)
-		delay := time.Duration(float64(backoff) * jitter)
-		backoff = min(backoff*2, s.cfg.BackoffMax)
+		failures++
 		select {
 		case <-ctx.Done():
 			return
-		case <-time.After(delay): //tagwatch:allow-wallclock redial backoff paces a real socket (jitter is already seeded)
+		case <-time.After(guard.Backoff(s.cfg.BackoffBase, s.cfg.BackoffMax, failures, rng)): //tagwatch:allow-wallclock redial backoff paces a real socket (jitter is already seeded)
 		}
 	}
 }
@@ -272,54 +274,55 @@ func (s *Shipper) dial(ctx context.Context, addr string) (net.Conn, error) {
 	return d.DialContext(dctx, "tcp", addr)
 }
 
-// session runs one connected replication session: hello/cursor
-// negotiation, then stream batches + heartbeats until the link or ctx
-// dies. The returned error is nil only on ctx cancellation.
-func (s *Shipper) session(ctx context.Context, p *peer, conn net.Conn) error {
+// handshake opens a connected replication session: hello/cursor
+// negotiation, then a journal reader positioned where the standby
+// resumes (or, after a resync, where its new anchor ends).
+func (s *Shipper) handshake(p *peer, conn net.Conn) (*statestore.JournalReader, error) {
 	if err := writeJSONFrame(conn, s.cfg.FrameTimeout, fHello, helloPayload{
 		Version: protocolVersion,
 		Primary: s.cfg.PrimaryID,
 	}); err != nil {
-		return fmt.Errorf("replication: send hello: %w", err)
+		return nil, fmt.Errorf("replication: send hello: %w", err)
 	}
 	typ, payload, err := readFrame(conn, s.cfg.FrameTimeout)
 	if err != nil {
-		return fmt.Errorf("replication: read cursor: %w", err)
+		return nil, fmt.Errorf("replication: read cursor: %w", err)
 	}
 	if typ != fCursor {
-		return fmt.Errorf("replication: expected cursor frame, got type %d", typ)
+		return nil, fmt.Errorf("replication: expected cursor frame, got type %d", typ)
 	}
 	var cur cursorPayload
 	if err := json.Unmarshal(payload, &cur); err != nil {
-		return fmt.Errorf("replication: decode cursor: %w", err)
+		return nil, fmt.Errorf("replication: decode cursor: %w", err)
 	}
+	if cur.Reset || cur.Primary != s.cfg.PrimaryID {
+		return s.resync(p, conn)
+	}
+	// Resume optimistically from the standby's cursor; if retention GC
+	// already collected it, the first Poll reports ErrCursorGone and the
+	// stream re-anchors.
+	from := statestore.Cursor{Gen: cur.Gen, Offset: cur.Offset}
+	reader := s.store.Tail(from, statestore.TailOptions{MaxBatchBytes: s.cfg.MaxBatchBytes})
+	p.advanceSent(from)
+	p.setState("streaming")
+	return reader, nil
+}
 
-	var reader *statestore.JournalReader
+// stream ships journal batches + heartbeats from reader until the link
+// or ctx dies, closing the reader on exit. The returned error is nil
+// only on ctx cancellation.
+func (s *Shipper) stream(ctx context.Context, p *peer, conn net.Conn, reader *statestore.JournalReader) error {
 	defer func() {
 		if reader != nil {
 			reader.Close()
 		}
 	}()
-	if cur.Reset || cur.Primary != s.cfg.PrimaryID {
-		reader, err = s.resync(p, conn)
-	} else {
-		// Resume optimistically from the standby's cursor; if retention
-		// GC already collected it, the first Poll reports ErrCursorGone
-		// and the stream re-anchors below.
-		from := statestore.Cursor{Gen: cur.Gen, Offset: cur.Offset}
-		reader = s.store.Tail(from, statestore.TailOptions{MaxBatchBytes: s.cfg.MaxBatchBytes})
-		p.advanceSent(from)
-		p.setState("streaming")
-	}
-	if err != nil {
-		return err
-	}
 
 	// Ack reader: drains standby→primary frames, updating the applied
 	// cursor. Its failure (or silence past AckTimeout) closes the conn,
 	// which unblocks any in-flight write and ends the session.
 	ackErr := make(chan error, 1)
-	//tagwatch:allow-leak the read loop's shutdown signal is the conn itself: session defers conn.Close, which fails the blocking readFrame
+	//tagwatch:allow-leak the read loop's shutdown signal is the conn itself: stream defers conn.Close, which fails the blocking readFrame
 	go func() {
 		for {
 			typ, payload, err := readFrame(conn, s.cfg.AckTimeout)
@@ -346,6 +349,7 @@ func (s *Shipper) session(ctx context.Context, p *peer, conn net.Conn) error {
 	for {
 		// Drain everything committed, in bounded frames.
 		for {
+			from := reader.Cursor()
 			records, next, err := reader.Poll()
 			if errors.Is(err, statestore.ErrCursorGone) {
 				reader.Close()
@@ -358,7 +362,11 @@ func (s *Shipper) session(ctx context.Context, p *peer, conn net.Conn) error {
 			if err != nil {
 				return fmt.Errorf("replication: tail journal: %w", err)
 			}
-			if len(records) == 0 {
+			// A batch with no records still ships when the cursor moved: a
+			// snapshot that finalized the journal leaves an empty new
+			// generation, and the standby must follow the primary into it
+			// or its acks never reach the committed cursor.
+			if len(records) == 0 && next == from {
 				break
 			}
 			if err := writeFrame(conn, s.cfg.FrameTimeout, fRecords, encodeRecords(next, records)); err != nil {

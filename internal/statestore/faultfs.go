@@ -93,9 +93,6 @@ func NewFaultFS(inner FS, cfg FaultConfig) *FaultFS {
 // filesystem is honest.
 func (f *FaultFS) Arm(on bool) { f.armed.Store(on) }
 
-// Armed reports whether faults are currently being injected.
-func (f *FaultFS) Armed() bool { return f.armed.Load() }
-
 // Stats snapshots the injected-fault counters.
 func (f *FaultFS) Stats() FaultStats {
 	f.mu.Lock()
